@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet check bench bench-transport bench-kernel bench-admit bench-batch bench-reshape bench-scenario telemetry-smoke chaos-smoke race-transport serve-smoke cluster-smoke scenario-smoke
+.PHONY: build test race stress vet check bench bench-transport bench-kernel bench-admit bench-batch bench-reshape bench-scenario telemetry-smoke chaos-smoke race-transport serve-smoke cluster-smoke scenario-smoke
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,15 @@ test:
 # -race here.
 race:
 	$(GO) test -race ./internal/truenorth/... ./internal/compass/... ./internal/mpi/... ./internal/pgas/... ./internal/modelcache/... ./internal/server/... ./internal/cluster/... ./internal/reshape/... ./internal/spikecode/... ./internal/scenario/...
+
+# Stress the determinism tables: repeated passes under the race
+# detector, so a contract that holds on most runs but not all (an
+# ordering race between stream ingest and a control-plane verb, a lane
+# mis-routed under one schedule) fails here rather than as a tier-1
+# flake.
+stress:
+	$(GO) test -race -count=20 -run 'TestBatchedLaneMigration$$' ./internal/cluster/
+	$(GO) test -race -count=5 -run 'TestBatchBitIdenticalToSolo$$|TestChaosMatrix$$|TestGolden' ./internal/compass/
 
 vet:
 	$(GO) vet ./...

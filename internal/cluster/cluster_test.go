@@ -248,6 +248,18 @@ func (tc *testCluster) verb(id, verb string) SessionStatus {
 	return st
 }
 
+// resume releases a session through the coordinator once sent injected
+// spikes have been journaled and delivered to the owner.
+func (tc *testCluster) resume(id string, sent uint64) SessionStatus {
+	tc.t.Helper()
+	var st SessionStatus
+	if err := tc.doJSON(http.MethodPost, "/v1/cluster/sessions/"+id+"/resume",
+		&server.ResumeRequest{MinInjected: sent}, &st); err != nil {
+		tc.t.Fatalf("resume %s: %v", id, err)
+	}
+	return st
+}
+
 func (tc *testCluster) migrate(id, target string) SessionStatus {
 	tc.t.Helper()
 	var st SessionStatus
@@ -340,6 +352,9 @@ func collectStream(c *server.StreamClient, ch chan<- streamResult) {
 // when both runs see the same verbs and the same injected spikes.
 type sessionDriver interface {
 	verb(verb string) *server.Info // pause blocks until parked
+	// resume releases the session once sent injected spikes (the
+	// script's cumulative count) have been ingested.
+	resume(sent uint64) *server.Info
 	streamEndpoint() (addr, id string)
 	checkpoint() []byte
 }
@@ -352,6 +367,9 @@ type clusterDriver struct {
 func (d *clusterDriver) verb(verb string) *server.Info {
 	st := d.tc.verb(d.id, verb)
 	return st.Info
+}
+func (d *clusterDriver) resume(sent uint64) *server.Info {
+	return d.tc.resume(d.id, sent).Info
 }
 func (d *clusterDriver) streamEndpoint() (string, string) {
 	return d.tc.coord.StreamAddr(), d.id
@@ -382,6 +400,14 @@ func (d *soloDriver) verb(verb string) *server.Info {
 		d.t.Fatalf("solo %s: %v", verb, err)
 	}
 	return info
+}
+func (d *soloDriver) resume(sent uint64) *server.Info {
+	var info server.Info
+	if err := d.nc.doJSON(http.MethodPost, "/v1/sessions/"+d.id+"/resume",
+		&server.ResumeRequest{MinInjected: sent}, &info); err != nil {
+		d.t.Fatalf("solo resume: %v", err)
+	}
+	return &info
 }
 func (d *soloDriver) streamEndpoint() (string, string) { return d.srv.StreamAddr(), d.id }
 func (d *soloDriver) checkpoint() []byte {
@@ -422,9 +448,10 @@ func drive(t *testing.T, d sessionDriver, sc script) ([]spikeio.Event, []byte) {
 	if err := stream.Send(preSpikes); err != nil {
 		t.Fatal(err)
 	}
+	sent := uint64(len(preSpikes))
 
 	if sc.midrunPause > 0 {
-		d.verb("resume")
+		d.resume(sent)
 		time.Sleep(sc.midrunPause)
 		info := d.verb("pause")
 		if info == nil || info.State != "paused" {
@@ -437,11 +464,12 @@ func drive(t *testing.T, d sessionDriver, sc script) ([]spikeio.Event, []byte) {
 		if err := stream.Send(midSpikes); err != nil {
 			t.Fatal(err)
 		}
+		sent += uint64(len(midSpikes))
 	}
 	if sc.mid != nil {
 		sc.mid()
 	}
-	d.verb("resume")
+	d.resume(sent)
 
 	var res streamResult
 	select {
@@ -589,7 +617,8 @@ func TestMigrationDeterminism(t *testing.T) {
 // TestBatchedLaneMigration migrates one of two same-model sessions
 // sharing a batched tick loop; both its trace and its lane-mate's must
 // stay byte-identical to solo references. Fault pacing would force the
-// sessions out of the batch group (faulted runs execute solo), so both
+// sessions out of the batch group (faulted sessions run in private
+// groups), so both
 // run unpaced and A migrates while still parked at tick 0 — the lane
 // departure the group must absorb is the same either way.
 func TestBatchedLaneMigration(t *testing.T) {
@@ -705,7 +734,7 @@ func TestFailoverNodeDeath(t *testing.T) {
 	if err := stream.Send(preSpikes); err != nil {
 		t.Fatal(err)
 	}
-	tc.verb(st.ClusterID, "resume")
+	tc.resume(st.ClusterID, uint64(len(preSpikes)))
 
 	// Mid-run, stop the owner's heartbeat loop without deregistering:
 	// the daemon (and the session) keeps running, but the coordinator

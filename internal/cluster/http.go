@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -251,7 +253,20 @@ func (c *Coordinator) handler() http.Handler {
 				// Spikes injected through the proxy while the session was
 				// parked must land before any tick fires, exactly as they
 				// would on a directly-driven daemon; resuming under an
-				// un-drained journal would deliver them late.
+				// un-drained journal would deliver them late. The client's
+				// stream frames and this request race over separate
+				// connections, so first wait for the proxy to journal the
+				// client's cumulative sent count (the step protocol's
+				// inject barrier), then for the owner to consume it.
+				var req server.ResumeRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+					clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode resume: %w", err))
+					return
+				}
+				if err := c.awaitJournaled(rc, req.MinInjected, 30*time.Second); err != nil {
+					clusterError(w, http.StatusGatewayTimeout, err)
+					return
+				}
 				c.awaitInjectSync(rc, 5*time.Second)
 			}
 			info, err := nc.lifecycle(id, verb)

@@ -248,6 +248,24 @@ func (c *Coordinator) awaitInjectSync(r *rec, timeout time.Duration) {
 	c.logf("session %s: inject sync with %s not confirmed before deadline", r.clusterID, owner)
 }
 
+// awaitJournaled blocks until the proxy has journaled at least min
+// inject records for the session — a client's cumulative sent count.
+// awaitInjectSync can only flush what the proxy has already read, so a
+// resume racing the client's stream frames waits here first.
+func (c *Coordinator) awaitJournaled(r *rec, min uint64, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for uint64(r.jBase+len(r.journal)) < min && !r.ended {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("cluster: session %s journaled %d of %d injected spikes before deadline",
+				r.clusterID, r.jBase+len(r.journal), min)
+		}
+		waitCondDeadline(c.cond, deadline)
+	}
+	return nil
+}
+
 // resumeBestEffort un-parks a session after a failed migration so the
 // export's pause doesn't strand it; its error (if any) is folded into
 // the returned suffix for the caller's message.

@@ -58,7 +58,10 @@ func (s *memSink) sorted() []truenorth.SpikeEvent {
 // and a live output sink produces — per lane — a RunStats (trace,
 // checkpoint, every counter, per-rank attribution) byte-identical to
 // the same session run solo. The model is stochastic, so this also
-// proves per-lane PRNG streams are consumed in solo order.
+// proves per-lane PRNG streams are consumed in solo order. The
+// instrumented rows add the per-tick and phase recorders: each lane's
+// PerTick must equal its solo run's, and each lane carries the group's
+// measured phase wall-clock.
 func TestBatchBitIdenticalToSolo(t *testing.T) {
 	m := stochasticModel(6, 0xBA7C)
 	img, err := truenorth.NewImage(m)
@@ -72,55 +75,75 @@ func TestBatchBitIdenticalToSolo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := []struct {
+		name         string
+		instrumented bool
+	}{
+		{"plain", false},
+		{"per-tick+phases", true},
+	}
 	for _, tr := range Transports() {
 		t.Run(tr.String(), func(t *testing.T) {
-			cfg := Config{
-				Ranks:          2,
-				ThreadsPerRank: 2,
-				Transport:      tr,
-				RecordTrace:    true,
-				ReturnState:    true,
-			}
-			batchSink := &memSink{}
-			lanes := []BatchLane{
-				{},
-				{InputSource: streamStub{nCores: 6}, OutputSink: batchSink},
-				{StartFrom: pre.Final},
-				{StartFrom: img.InitialCheckpoint()},
-			}
-			res, err := RunBatch(img, cfg, ticks, lanes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Lanes) != len(lanes) {
-				t.Fatalf("%d lane results for %d lanes", len(res.Lanes), len(lanes))
-			}
-			for s := range lanes {
-				solo := cfg
-				solo.StartFrom = lanes[s].StartFrom
-				solo.InputSource = lanes[s].InputSource
-				var soloSink *memSink
-				if lanes[s].OutputSink != nil {
-					soloSink = &memSink{}
-					solo.OutputSink = soloSink
-				}
-				want, err := RunImage(img, solo, ticks)
-				if err != nil {
-					t.Fatalf("lane %d solo: %v", s, err)
-				}
-				got := *res.Lanes[s]
-				ref := *want
-				// Phase wall-clock is the only run-shaped field; batched
-				// runs report SweepSeconds at group level instead.
-				got.PhaseSeconds, ref.PhaseSeconds = PhaseSeconds{}, PhaseSeconds{}
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("lane %d RunStats diverges from solo:\nbatch: %+v\nsolo:  %+v", s, got, ref)
-				}
-				if soloSink != nil {
-					if !reflect.DeepEqual(batchSink.sorted(), soloSink.sorted()) {
-						t.Errorf("lane %d sink events diverge from solo", s)
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					cfg := Config{
+						Ranks:          2,
+						ThreadsPerRank: 2,
+						Transport:      tr,
+						RecordTrace:    true,
+						ReturnState:    true,
+						RecordPerTick:  row.instrumented,
+						MeasurePhases:  row.instrumented,
 					}
-				}
+					batchSink := &memSink{}
+					lanes := []BatchLane{
+						{},
+						{InputSource: streamStub{nCores: 6}, OutputSink: batchSink},
+						{StartFrom: pre.Final},
+						{StartFrom: img.InitialCheckpoint()},
+					}
+					res, err := RunBatch(img, cfg, ticks, lanes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(res.Lanes) != len(lanes) {
+						t.Fatalf("%d lane results for %d lanes", len(res.Lanes), len(lanes))
+					}
+					for s := range lanes {
+						solo := cfg
+						solo.StartFrom = lanes[s].StartFrom
+						solo.InputSource = lanes[s].InputSource
+						var soloSink *memSink
+						if lanes[s].OutputSink != nil {
+							soloSink = &memSink{}
+							solo.OutputSink = soloSink
+						}
+						want, err := RunImage(img, solo, ticks)
+						if err != nil {
+							t.Fatalf("lane %d solo: %v", s, err)
+						}
+						got := *res.Lanes[s]
+						ref := *want
+						if row.instrumented {
+							if p := got.PhaseSeconds; p.Neuron <= 0 || p.Network <= 0 {
+								t.Errorf("lane %d phase wall-clock not measured: %+v", s, p)
+							}
+							if len(got.PerTick) != ticks {
+								t.Errorf("lane %d recorded %d ticks, want %d", s, len(got.PerTick), ticks)
+							}
+						}
+						// Phase wall-clock is the only run-shaped field.
+						got.PhaseSeconds, ref.PhaseSeconds = PhaseSeconds{}, PhaseSeconds{}
+						if !reflect.DeepEqual(got, ref) {
+							t.Errorf("lane %d RunStats diverges from solo:\nbatch: %+v\nsolo:  %+v", s, got, ref)
+						}
+						if soloSink != nil {
+							if !reflect.DeepEqual(batchSink.sorted(), soloSink.sorted()) {
+								t.Errorf("lane %d sink events diverge from solo", s)
+							}
+						}
+					}
+				})
 			}
 		})
 	}
@@ -200,8 +223,8 @@ func TestBatchLaneTelemetryAttribution(t *testing.T) {
 	}
 }
 
-// TestBatchConfigRejections: solo-run instruments and out-of-range lane
-// counts are rejected up front with clear errors.
+// TestBatchConfigRejections: per-session Config fields and out-of-range
+// lane counts are rejected up front with clear errors.
 func TestBatchConfigRejections(t *testing.T) {
 	m := randomModel(4, 0xE)
 	img, err := truenorth.NewImage(m)
@@ -219,8 +242,6 @@ func TestBatchConfigRejections(t *testing.T) {
 		{"config InputSource", func(c Config) Config { c.InputSource = streamStub{nCores: 4}; return c }, one},
 		{"config OutputSink", func(c Config) Config { c.OutputSink = &memSink{}; return c }, one},
 		{"config Telemetry", func(c Config) Config { c.Telemetry = NewTelemetry(1); return c }, one},
-		{"per-tick recording", func(c Config) Config { c.RecordPerTick = true; return c }, one},
-		{"phase measurement", func(c Config) Config { c.MeasurePhases = true; return c }, one},
 		{"zero lanes", func(c Config) Config { return c }, nil},
 		{"too many lanes", func(c Config) Config { return c }, make([]BatchLane, truenorth.MaxLanes+1)},
 		{"short lane telemetry", func(c Config) Config { c.Ranks = 2; return c },

@@ -20,27 +20,30 @@ import (
 // test in this file may block on Run without a watchdog.
 const chaosDeadline = 60 * time.Second
 
-// runWithDeadline runs Run on a watchdog: if the simulator has not
-// returned within chaosDeadline the test fails immediately instead of
-// hanging the suite — a deadlocked transport is exactly the bug class
-// this file guards against.
+// runWithDeadline runs Run on a watchdog (see withDeadline).
 func runWithDeadline(t *testing.T, m *truenorth.Model, cfg Config, ticks int) (*RunStats, error) {
 	t.Helper()
-	type result struct {
-		stats *RunStats
-		err   error
-	}
-	done := make(chan result, 1)
+	var stats *RunStats
+	var err error
+	withDeadline(t, func() { stats, err = Run(m, cfg, ticks) })
+	return stats, err
+}
+
+// withDeadline runs fn on a watchdog: if it has not returned within
+// chaosDeadline the test fails immediately instead of hanging the suite
+// — a deadlocked transport is exactly the bug class this file guards
+// against.
+func withDeadline(t *testing.T, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
 	go func() {
-		stats, err := Run(m, cfg, ticks)
-		done <- result{stats, err}
+		fn()
+		close(done)
 	}()
 	select {
-	case r := <-done:
-		return r.stats, r.err
+	case <-done:
 	case <-time.After(chaosDeadline):
-		t.Fatalf("Run did not return within %v (transport hang)", chaosDeadline)
-		return nil, nil
+		t.Fatalf("run did not return within %v (transport hang)", chaosDeadline)
 	}
 }
 
@@ -61,51 +64,66 @@ func chaosInjector(t *testing.T, spec string) *faults.Injector {
 // completes with spike output bit-identical to the serial reference
 // (survivable faults are fully absorbed) or returns a non-nil error
 // naming the failing rank and tick (fatal faults propagate cleanly).
-// Either way Run returns before the watchdog fires.
+// Either way Run returns before the watchdog fires. The batched rows
+// run a two-lane group instead, its lanes five ticks apart, and require
+// every lane's trace and final checkpoint to equal the lane's
+// fault-free run.
 func TestChaosMatrix(t *testing.T) {
 	const ticks = 12
 	m := randomModel(12, 0xFA17)
 	want, wantTotal := serialTrace(t, m, ticks)
 
 	cases := []struct {
-		spec  string
-		fatal bool
+		spec    string
+		fatal   bool
+		batched bool
 	}{
-		{"drop", false},
-		{"dup", false},
-		{"delay:k=2", false},
-		{"stall:rank=1,k=1", false},
-		{"drop;dup", false},
-		{"crash:rank=1,tick=5", true},
-		{"drop:attempts=99", true},
+		{"drop", false, false},
+		{"dup", false, false},
+		{"delay:k=2", false, false},
+		{"stall:rank=1,k=1", false, false},
+		{"drop;dup", false, false},
+		{"crash:rank=1,tick=5", true, false},
+		{"drop:attempts=99", true, false},
+		{"drop", false, true},
+		{"dup", false, true},
+		{"delay:k=2", false, true},
 	}
 	for _, tr := range Transports() {
 		for _, tc := range cases {
-			t.Run(tr.String()+"/"+tc.spec, func(t *testing.T) {
+			name := tr.String() + "/" + tc.spec
+			if tc.batched {
+				name += "/2-lanes"
+			}
+			t.Run(name, func(t *testing.T) {
 				inj := chaosInjector(t, tc.spec)
 				cfg := Config{
 					Ranks: 3, ThreadsPerRank: 2, Transport: tr,
 					RecordTrace: true, Faults: inj,
 				}
-				stats, err := runWithDeadline(t, m, cfg, ticks)
-				if tc.fatal {
-					if err == nil {
-						t.Fatalf("fatal fault %q completed without error", tc.spec)
+				if tc.batched {
+					chaosBatch(t, m, cfg, ticks)
+				} else {
+					stats, err := runWithDeadline(t, m, cfg, ticks)
+					if tc.fatal {
+						if err == nil {
+							t.Fatalf("fatal fault %q completed without error", tc.spec)
+						}
+						if !strings.Contains(err.Error(), "rank") || !strings.Contains(err.Error(), "tick") {
+							t.Fatalf("fatal fault error does not name rank and tick: %v", err)
+						}
+						return
 					}
-					if !strings.Contains(err.Error(), "rank") || !strings.Contains(err.Error(), "tick") {
-						t.Fatalf("fatal fault error does not name rank and tick: %v", err)
+					if err != nil {
+						t.Fatalf("survivable fault %q failed the run: %v", tc.spec, err)
 					}
-					return
-				}
-				if err != nil {
-					t.Fatalf("survivable fault %q failed the run: %v", tc.spec, err)
-				}
-				if stats.TotalSpikes != wantTotal {
-					t.Fatalf("total spikes %d, want %d", stats.TotalSpikes, wantTotal)
-				}
-				if !reflect.DeepEqual(stats.Trace, want) {
-					t.Fatalf("trace under %q differs from serial reference (%d vs %d events)",
-						tc.spec, len(stats.Trace), len(want))
+					if stats.TotalSpikes != wantTotal {
+						t.Fatalf("total spikes %d, want %d", stats.TotalSpikes, wantTotal)
+					}
+					if !reflect.DeepEqual(stats.Trace, want) {
+						t.Fatalf("trace under %q differs from serial reference (%d vs %d events)",
+							tc.spec, len(stats.Trace), len(want))
+					}
 				}
 				sum := inj.Summary()
 				var fired uint64
@@ -116,6 +134,46 @@ func TestChaosMatrix(t *testing.T) {
 					t.Fatalf("spec %q injected nothing — the case tested the fault-free path", tc.spec)
 				}
 			})
+		}
+	}
+}
+
+// chaosBatch runs a two-lane group under cfg's faults — lane 0 resumed
+// from a fault-free tick-5 checkpoint, so the exchange tick runs ahead
+// of lane 1's — and requires each lane's trace and final checkpoint to
+// equal the lane's fault-free one-lane run.
+func chaosBatch(t *testing.T, m *truenorth.Model, cfg Config, ticks int) {
+	t.Helper()
+	img, err := truenorth.NewImage(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ReturnState = true
+	clean := cfg
+	clean.Faults = nil
+	pre, err := RunImage(img, clean, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := []BatchLane{{StartFrom: pre.Final}, {}}
+	var res *BatchResult
+	withDeadline(t, func() { res, err = RunBatch(img, cfg, ticks, lanes) })
+	if err != nil {
+		t.Fatalf("survivable fault failed the batched run: %v", err)
+	}
+	for s, lane := range lanes {
+		solo := clean
+		solo.StartFrom = lane.StartFrom
+		want, err := RunImage(img, solo, ticks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Lanes[s].Trace, want.Trace) {
+			t.Fatalf("lane %d trace differs from its fault-free run (%d vs %d events)",
+				s, len(res.Lanes[s].Trace), len(want.Trace))
+		}
+		if !reflect.DeepEqual(res.Lanes[s].Final, want.Final) {
+			t.Fatalf("lane %d checkpoint differs from its fault-free run", s)
 		}
 	}
 }

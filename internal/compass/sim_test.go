@@ -424,10 +424,6 @@ func TestMeasurePhases(t *testing.T) {
 	if stats.PhaseSeconds.Network <= 0 {
 		t.Fatalf("network phase time %v", stats.PhaseSeconds.Network)
 	}
-	// The deprecated fused accessor equals the sum of the split fields.
-	if got, want := stats.PhaseSeconds.SynapseNeuron(), stats.PhaseSeconds.Synapse+stats.PhaseSeconds.Neuron; got != want {
-		t.Fatalf("SynapseNeuron() = %v, want %v", got, want)
-	}
 	// Without the flag, phase times stay zero.
 	plain, err := Run(m, Config{Ranks: 2, ThreadsPerRank: 1}, 10)
 	if err != nil {

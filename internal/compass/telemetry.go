@@ -195,8 +195,17 @@ func (t *Telemetry) phaseSpan(rank int, p Phase, tick uint64, start time.Time, d
 	if t == nil {
 		return
 	}
-	t.phase[p].Observe(rank, dur.Seconds())
+	t.phaseObserve(rank, p, dur)
 	t.tracer.Span(rank, p.String(), "phase", rank, int(p), tick, start, dur)
+}
+
+// phaseObserve records one completed phase section in the histogram
+// only, without a trace span.
+func (t *Telemetry) phaseObserve(rank int, p Phase, dur time.Duration) {
+	if t == nil {
+		return
+	}
+	t.phase[p].Observe(rank, dur.Seconds())
 }
 
 // tickCounts accumulates one tick's rank-level traffic totals.

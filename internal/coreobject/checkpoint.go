@@ -116,12 +116,13 @@ func ReadCheckpoint(r io.Reader) (*truenorth.Checkpoint, error) {
 	if numCores > maxCores {
 		return nil, fmt.Errorf("coreobject: implausible checkpoint core count %d", numCores)
 	}
-	cp.States = make([]truenorth.CoreState, numCores)
+	cp.States = make([]truenorth.CoreState, 0, initialCap(numCores))
 	buf := make([]byte, CheckpointRecordBytes)
 	for i := uint64(0); i < numCores; i++ {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("coreobject: read checkpoint core %d: %w", i, err)
 		}
+		cp.States = append(cp.States, truenorth.CoreState{})
 		s := &cp.States[i]
 		off := 0
 		s.ID = truenorth.CoreID(binary.LittleEndian.Uint32(buf[off:]))

@@ -2,6 +2,8 @@ package coreobject
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -85,5 +87,68 @@ func TestDecodeSpecNeverPanicsOnGarbage(t *testing.T) {
 				}
 			}
 		}()
+	}
+}
+
+// TestHostileHeaderCountsStayBounded feeds 32-byte bodies whose headers
+// claim huge record counts: each decoder must fail with an error at the
+// first missing record — not panic — and allocate in proportion to the
+// bytes it actually read, not to the count it was promised.
+func TestHostileHeaderCountsStayBounded(t *testing.T) {
+	model := func(numCores, numInputs uint64) []byte {
+		b := []byte(binaryMagic)
+		b = binary.LittleEndian.AppendUint32(b, binaryVersion)
+		b = binary.LittleEndian.AppendUint64(b, 1) // seed
+		b = binary.LittleEndian.AppendUint64(b, numCores)
+		return binary.LittleEndian.AppendUint64(b, numInputs)
+	}
+	checkpoint := func(version uint32, numCores uint64) []byte {
+		b := []byte(checkpointMagic)
+		b = binary.LittleEndian.AppendUint32(b, version)
+		b = binary.LittleEndian.AppendUint64(b, 0) // tick
+		b = binary.LittleEndian.AppendUint64(b, numCores)
+		if version >= 2 {
+			b = binary.LittleEndian.AppendUint16(b, 0) // no model hash
+		}
+		return append(b, make([]byte, 32-len(b))...) // a truncated first record
+	}
+	readModel := func(b []byte) error { _, err := ReadModel(bytes.NewReader(b)); return err }
+	readCheckpoint := func(b []byte) error { _, err := ReadCheckpoint(bytes.NewReader(b)); return err }
+	cases := []struct {
+		name string
+		body []byte
+		read func([]byte) error
+	}{
+		{"model max cores", model(1<<28-1, 0), readModel},
+		{"model 2^62 inputs", model(0, 1<<62), readModel},
+		{"model 2^64-1 inputs", model(0, 1<<64-1), readModel},
+		{"model max cores and inputs", model(1<<28-1, 1<<62), readModel},
+		{"checkpoint v1 max cores", checkpoint(1, 1<<28-1), readCheckpoint},
+		{"checkpoint v2 max cores", checkpoint(2, 1<<28-1), readCheckpoint},
+	}
+	const maxAlloc = 4 << 20
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if len(tc.body) != 32 {
+				t.Fatalf("body is %d bytes, want 32", len(tc.body))
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("decoder panicked: %v", p)
+					}
+				}()
+				return tc.read(tc.body)
+			}()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("decoder accepted a 32-byte body")
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d > maxAlloc {
+				t.Fatalf("decoder allocated %d bytes for a 32-byte body (bound %d)", d, maxAlloc)
+			}
+		})
 	}
 }

@@ -9,17 +9,19 @@ import (
 	"github.com/cognitive-sim/compass/internal/truenorth"
 )
 
-// This file is the serving-side scheduler for batched execution: every
-// running session whose (model hash, ranks, threads, transport,
-// placement) matches an existing group joins that group, and the
-// group's window loop advances all of its members' chunks with ONE
-// sim.RunBatch call — one kernel sweep and one Network phase per tick
-// for the whole membership — instead of one independent tick loop per
-// session. Sessions join and leave at chunk boundaries only, and each
-// session's trace, checkpoints, and telemetry stay byte-identical to
-// solo execution (the compass-level contract tested in
+// This file is the serving-side scheduler and the daemon's only run
+// path: every running session is a lane of a batch group. A session
+// whose (model hash, ranks, threads, transport, placement) matches an
+// existing group joins that group, and the group's window loop
+// advances all of its members' chunks with ONE sim.RunBatchContext
+// call — one kernel sweep and one Network phase per tick for the whole
+// membership — instead of one independent tick loop per session. A
+// faulted session, or any session when batching is disabled, gets a
+// private group of its own. Sessions join and leave at chunk boundaries
+// only, and each session's trace, checkpoints, and telemetry stay
+// byte-identical to a solo run (the compass-level contract tested in
 // internal/compass/batch_test.go), so pause, checkpoint, stream
-// injection, and egress keep their exact solo semantics while batched.
+// injection, and egress keep their exact semantics in any group.
 
 // batchKey fingerprints everything that must match for two sessions to
 // share a tick loop: the image content hash plus the full decomposition.
@@ -37,9 +39,11 @@ func batchKey(img *truenorth.Image, cfg sim.Config) string {
 	return fmt.Sprintf("%s|r%d|t%d|%s|%s", img.Hash(), cfg.Ranks, cfg.ThreadsPerRank, cfg.Transport, placement)
 }
 
-// batchReq is one session's pending chunk: the lane description, the
-// requested tick count, and the channel its window result lands on.
+// batchReq is one session's pending chunk: the session's context, the
+// lane description, the requested tick count, and the channel its
+// window result lands on.
 type batchReq struct {
+	ctx   context.Context
 	lane  sim.BatchLane
 	ticks int
 	resC  chan batchRes // buffered; the window loop never blocks on it
@@ -64,6 +68,11 @@ type batchGroup struct {
 	img *truenorth.Image
 	cfg sim.Config // shared decomposition; ReturnState set, per-session fields empty
 
+	// private marks a one-session group (its key carries the session
+	// ID): it is not reported as a batch group and feeds no batching
+	// metrics.
+	private bool
+
 	// onWindow/onWindowDone feed the manager's occupancy gauge and
 	// per-sweep histogram; either may be nil.
 	onWindow     func(lanes int)
@@ -75,7 +84,7 @@ type batchGroup struct {
 	refs    int // sessions routed to this group by the manager
 }
 
-func newBatchGroup(key string, img *truenorth.Image, cfg sim.Config) *batchGroup {
+func newBatchGroup(key string, img *truenorth.Image, cfg sim.Config, private bool) *batchGroup {
 	cfg.StartFrom = nil
 	cfg.InputSource = nil
 	cfg.OutputSink = nil
@@ -84,17 +93,17 @@ func newBatchGroup(key string, img *truenorth.Image, cfg sim.Config) *batchGroup
 	cfg.RecordPerTick = false
 	cfg.MeasurePhases = false
 	cfg.ReturnState = true
-	return &batchGroup{key: key, img: img, cfg: cfg}
+	return &batchGroup{key: key, img: img, cfg: cfg, private: private}
 }
 
 // exec runs one chunk of a member session through the group: it
 // enqueues the lane, wakes the window loop, and blocks until the window
-// carrying the lane completes. Cancellation is chunk-bounded, exactly
-// like the solo runner: a request still waiting is withdrawn
-// immediately, but once its window is in flight exec waits the window
-// out (a window is at most one chunk long).
+// carrying the lane completes. A request still waiting is withdrawn
+// on cancellation immediately; once its window is in flight exec waits
+// for the window's result (a one-lane window stops at the next tick
+// boundary, a shared one runs out its at most one chunk).
 func (g *batchGroup) exec(ctx context.Context, lane sim.BatchLane, ticks int) (*sim.RunStats, int, float64, error) {
-	req := &batchReq{lane: lane, ticks: ticks, resC: make(chan batchRes, 1)}
+	req := &batchReq{ctx: ctx, lane: lane, ticks: ticks, resC: make(chan batchRes, 1)}
 	g.mu.Lock()
 	g.waiting = append(g.waiting, req)
 	if !g.running {
@@ -157,7 +166,14 @@ func (g *batchGroup) windowLoop() {
 		if g.onWindow != nil {
 			g.onWindow(len(reqs))
 		}
-		res, err := sim.RunBatch(g.img, g.cfg, ticks, lanes)
+		// A one-lane window is its session's own run, so the session's
+		// cancellation interrupts it mid-window; a shared window runs
+		// out (it is at most one chunk long).
+		ctx := context.Background()
+		if len(reqs) == 1 {
+			ctx = reqs[0].ctx
+		}
+		res, err := sim.RunBatchContext(ctx, g.img, g.cfg, ticks, lanes)
 		if g.onWindowDone != nil {
 			sweep := 0.0
 			if err == nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -67,6 +68,15 @@ type StepRequest struct {
 	// connection) before the step was asked are guaranteed to land in
 	// the granted ticks. Lock-step clients pass their cumulative sent
 	// record count.
+	MinInjected uint64 `json:"min_injected,omitempty"`
+}
+
+// ResumeRequest is the optional POST /v1/sessions/{id}/resume body.
+// MinInjected is the same inject barrier as StepRequest's: the daemon
+// releases the session only once it has ingested at least this many
+// streamed spikes, so stimuli sent before the resume land in the ticks
+// it frees. An empty body resumes at once.
+type ResumeRequest struct {
 	MinInjected uint64 `json:"min_injected,omitempty"`
 }
 
@@ -327,6 +337,17 @@ func (srv *Server) handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.Info())
 	}))
 	mux.HandleFunc("POST /v1/sessions/{id}/resume", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
+		var req ResumeRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("server: decode resume: %w", err))
+			return
+		}
+		if req.MinInjected > 0 {
+			if err := s.WaitInjected(req.MinInjected, 30*time.Second); err != nil {
+				httpError(w, http.StatusGatewayTimeout, err)
+				return
+			}
+		}
 		if err := s.Resume(); err != nil {
 			httpError(w, http.StatusConflict, err)
 			return

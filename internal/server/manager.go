@@ -77,9 +77,9 @@ type ManagerOptions struct {
 	// per session. Sessions that could never fit are rejected; sessions
 	// that merely don't fit right now queue FIFO. Zero means unlimited.
 	MemoryBudgetBytes int64
-	// DisableBatch turns off batched execution: every session runs its
-	// own independent tick loop even when other resident sessions share
-	// its model and decomposition.
+	// DisableBatch turns off batched execution: every session runs in a
+	// private group, its own tick loop, even when other resident sessions
+	// share its model and decomposition.
 	DisableBatch bool
 	// MaxExtraWorkers bounds the daemon-wide pool of extra worker
 	// goroutines shared by every image build, PCC compile, and session
@@ -507,9 +507,8 @@ func (m *Manager) canStartLocked(s *Session) bool {
 // Image bytes are charged once per resident image — the second session
 // sharing an image only pays for its private runtime state. The first
 // session holding a cache-built image also pins its cache entry, and
-// unless batching is disabled the session joins (or founds) the batch
-// group for its (model hash, decomposition) so same-model sessions
-// advance under one shared tick loop. Callers hold mu.
+// the session joins (or founds) its batch group (see joinGroupLocked).
+// Callers hold mu.
 //
 // The session's start claim is taken first: a queued session cancelled
 // concurrently (abortQueued holds only the session lock) can reach a
@@ -534,25 +533,41 @@ func (m *Manager) startLocked(s *Session) bool {
 	}
 	ref.refs++
 	m.memUsed += s.img.StateBytes()
-	// Fault injection is a solo-run instrument: RunBatch rejects
-	// cfg.Faults because per-rank fault decisions don't compose with a
-	// shared kernel sweep, so faulted sessions keep their own tick loop.
-	if !m.opts.DisableBatch && s.cfg.Faults == nil {
-		key := batchKey(s.img, s.cfg)
-		g := m.groups[key]
-		if g == nil {
-			g = newBatchGroup(key, s.img, s.cfg)
-			g.onWindow = func(lanes int) { m.batchWindow(lanes) }
-			g.onWindowDone = func(lanes int, sweep float64) { m.batchWindowDone(lanes, sweep) }
-			m.groups[key] = g
-		}
-		g.refs++
-		// Under the session lock: a queued session promoted here can have
-		// its Info read concurrently.
-		s.setGroup(g)
-	}
+	m.joinGroupLocked(s, s.cfg)
 	go s.run()
 	return true
+}
+
+// groupKey returns the batch-group key of session s under cfg, and
+// whether the group is private to s. Sessions of one image and
+// decomposition share a group; a faulted session (its injector is its
+// own, and fault decisions follow the group's lane-0 ticks) and every
+// session under DisableBatch get a private group keyed by their ID.
+func (m *Manager) groupKey(s *Session, cfg sim.Config) (string, bool) {
+	key := batchKey(s.img, cfg)
+	if m.opts.DisableBatch || cfg.Faults != nil {
+		return key + "|" + s.ID, true
+	}
+	return key, false
+}
+
+// joinGroupLocked routes s to its batch group under cfg, founding the
+// group on first use. Callers hold mu.
+func (m *Manager) joinGroupLocked(s *Session, cfg sim.Config) {
+	key, private := m.groupKey(s, cfg)
+	g := m.groups[key]
+	if g == nil {
+		g = newBatchGroup(key, s.img, cfg, private)
+		if !private {
+			g.onWindow = func(lanes int) { m.batchWindow(lanes) }
+			g.onWindowDone = func(lanes int, sweep float64) { m.batchWindowDone(lanes, sweep) }
+		}
+		m.groups[key] = g
+	}
+	g.refs++
+	// Under the session lock: a queued session promoted here can have
+	// its Info read concurrently.
+	s.setGroup(g)
 }
 
 // batchWindow and batchWindowDone maintain the batch occupancy gauge

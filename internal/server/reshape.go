@@ -145,24 +145,12 @@ func (m *Manager) noteReshape(s *Session, cfg sim.Config) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	old := s.group
-	if old == nil {
-		return // solo session (batching disabled or faulted)
-	}
-	key := batchKey(s.img, cfg)
-	if key == old.key {
+	if key, _ := m.groupKey(s, cfg); key == old.key {
 		return
 	}
 	old.refs--
 	if old.refs <= 0 {
 		delete(m.groups, old.key)
 	}
-	g := m.groups[key]
-	if g == nil {
-		g = newBatchGroup(key, s.img, cfg)
-		g.onWindow = func(lanes int) { m.batchWindow(lanes) }
-		g.onWindowDone = func(lanes int, sweep float64) { m.batchWindowDone(lanes, sweep) }
-		m.groups[key] = g
-	}
-	g.refs++
-	s.setGroup(g)
+	m.joinGroupLocked(s, cfg)
 }

@@ -140,10 +140,10 @@ type Session struct {
 	// coordinator so failover always has a recent consistent state.
 	onBoundary func(*Session)
 
-	// group, when non-nil, routes the session's chunks through a shared
-	// batched tick loop with every same-keyed running session; set by
-	// the manager before the runner starts. batchLane is the session's
-	// lane index in its most recent window.
+	// group runs the session's chunks as lanes of a batched tick loop,
+	// shared with every same-keyed running session unless the group is
+	// private; set by the manager before the runner starts. batchLane is
+	// the session's lane index in its most recent window.
 	group     *batchGroup
 	batchLane int
 
@@ -282,34 +282,20 @@ func (s *Session) run() {
 		group := s.group
 		startTick := s.cp.Tick
 		cp := s.cp
-		base := s.cfg
 		s.state = StateRunning
 		s.cond.Broadcast()
 		s.mu.Unlock()
 
-		var stats *sim.RunStats
-		var err error
-		var lane int
-		if group != nil {
-			// Batched path: the chunk rides a shared window with every
-			// same-model session; the group may trim the window to the
-			// shortest member chunk, so the ticks actually run come back
-			// in stats.Ticks and the remainder rides the next window.
-			stats, lane, _, err = group.exec(s.ctx, sim.BatchLane{
-				StartFrom:   cp,
-				InputSource: s.source,
-				OutputSink:  s.sink,
-				Telemetry:   s.tel,
-			}, int(n))
-		} else {
-			cfg := base
-			cfg.StartFrom = cp
-			cfg.ReturnState = true
-			cfg.InputSource = s.source
-			cfg.OutputSink = s.sink
-			cfg.Telemetry = s.tel
-			stats, err = sim.RunImageContext(s.ctx, s.img, cfg, int(n))
-		}
+		// The chunk rides a window of the session's batch group; a shared
+		// group may trim the window to the shortest member chunk, so the
+		// ticks actually run come back in stats.Ticks and the remainder
+		// rides the next window.
+		stats, lane, _, err := group.exec(s.ctx, sim.BatchLane{
+			StartFrom:   cp,
+			InputSource: s.source,
+			OutputSink:  s.sink,
+			Telemetry:   s.tel,
+		}, int(n))
 
 		s.mu.Lock()
 		s.batchLane = lane
@@ -626,7 +612,8 @@ type Info struct {
 	ImageBytes int64 `json:"image_bytes"`
 	StateBytes int64 `json:"state_bytes"`
 	// BatchGroup identifies the shared batched tick loop the session's
-	// chunks ride (empty when the session runs its own loop); BatchLane
+	// chunks ride (empty when the session runs in a private group of its
+	// own: batching disabled, or fault injection armed); BatchLane
 	// is the session's lane index in its most recent window.
 	BatchGroup string `json:"batch_group,omitempty"`
 	BatchLane  int    `json:"batch_lane,omitempty"`
@@ -673,7 +660,7 @@ func (s *Session) Info() Info {
 		StreamDrops: s.sink.dropped(),
 		CreatedAt:   s.created.UTC().Format(time.RFC3339),
 	}
-	if s.group != nil {
+	if s.group != nil && !s.group.private {
 		info.BatchGroup = s.group.key
 	}
 	info.Scenario = s.scenario
