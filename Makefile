@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress vet check bench bench-transport bench-kernel bench-admit bench-batch bench-reshape bench-scenario telemetry-smoke chaos-smoke race-transport serve-smoke cluster-smoke scenario-smoke
+.PHONY: build test race stress vet check bench bench-transport bench-kernel bench-admit bench-batch bench-reshape bench-scenario telemetry-smoke chaos-smoke race-transport serve-smoke cluster-smoke scenario-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -104,19 +104,29 @@ race-transport:
 		-run 'TestChaos|TestRankFailure|TestDropPast|TestFailedRun|TestSurvivable|TestCrossTransport|TestShmemAbort|TestRankError|TestAborted|TestErrorAborts' \
 		./internal/compass/ ./internal/mpi/ ./internal/pgas/
 
-# End-to-end serving smoke: build compassd, then drive it with the
-# servesmoke client — session create/pause/resume/checkpoint over HTTP,
-# live spike injection and egress over the stream plane, SIGTERM drain
-# to checkpoint files, and a successor daemon resuming from them. All
+# Fuzz smoke: ten seconds of native Go fuzzing per network decoder —
+# binary models, checkpoints, CoreObject specs, and the stream-plane
+# handshake. Each must return an error or a value, never panic; the
+# committed seed corpora under testdata/fuzz/ also run in `make test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime 10s ./internal/coreobject/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s ./internal/coreobject/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/coreobject/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadStreamHandshake$$' -fuzztime 10s ./internal/server/
+
+# End-to-end serving smoke: build compassd, then run the cmd/smoke
+# serve drill — session create/pause/resume/checkpoint over HTTP, live
+# spike injection and egress over the stream plane, SIGTERM drain to
+# checkpoint files, and a successor daemon resuming from them. All
 # output (both daemons + client) lands in $(SERVE_DIR)/serve-smoke.log.
 SERVE_DIR ?= serve-smoke
 serve-smoke:
 	mkdir -p $(SERVE_DIR)
 	$(GO) build -o $(SERVE_DIR)/compassd ./cmd/compassd
-	$(GO) run ./cmd/servesmoke -compassd $(SERVE_DIR)/compassd -dir $(SERVE_DIR)
+	$(GO) run ./cmd/smoke -drill serve -compassd $(SERVE_DIR)/compassd -dir $(SERVE_DIR)
 
-# Cluster serving smoke: build compassd, then spawn a coordinator plus
-# three nodes and run the clustersmoke drills — live migration between
+# Cluster serving smoke: build compassd, then run the cmd/smoke cluster
+# drill — a coordinator plus three nodes, live migration between
 # daemons and SIGKILL heartbeat-lapse failover, each verified
 # byte-identical (spike trace + final checkpoint) against a solo
 # reference run. All process output lands in
@@ -125,20 +135,20 @@ CLUSTER_DIR ?= cluster-smoke
 cluster-smoke:
 	mkdir -p $(CLUSTER_DIR)
 	$(GO) build -o $(CLUSTER_DIR)/compassd ./cmd/compassd
-	$(GO) run ./cmd/clustersmoke -compassd $(CLUSTER_DIR)/compassd -dir $(CLUSTER_DIR)
+	$(GO) run ./cmd/smoke -drill cluster -compassd $(CLUSTER_DIR)/compassd -dir $(CLUSTER_DIR)
 
-# Scenario smoke: build compassd, run every registered closed-loop
-# scenario (bandit, stroop, charrec) against it through the episode
-# engine, check the per-scenario counters and stream-RTT histogram on
-# /metrics, pin determinism by replaying one run through compass.Run,
-# then re-run a scenario through a coordinator + node and require a
-# bit-identical inject stream and score. Output lands in
+# Scenario smoke: build compassd, then run the cmd/smoke scenario drill
+# — every registered closed-loop scenario (bandit, stroop, charrec)
+# through the episode engine, the per-scenario counters and stream-RTT
+# histogram on /metrics, determinism pinned by replaying one run
+# through compass.Run, and a re-run through a coordinator + node that
+# must give a bit-identical inject stream and score. Output lands in
 # $(SCENARIO_DIR)/scenario-smoke.log.
 SCENARIO_DIR ?= scenario-smoke
 scenario-smoke:
 	mkdir -p $(SCENARIO_DIR)
 	$(GO) build -o $(SCENARIO_DIR)/compassd ./cmd/compassd
-	$(GO) run ./cmd/scenariosmoke -compassd $(SCENARIO_DIR)/compassd -dir $(SCENARIO_DIR)
+	$(GO) run ./cmd/smoke -drill scenario -compassd $(SCENARIO_DIR)/compassd -dir $(SCENARIO_DIR)
 
 SMOKE_DIR ?= telemetry-smoke
 telemetry-smoke:

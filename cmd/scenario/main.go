@@ -25,6 +25,7 @@ import (
 
 	"github.com/cognitive-sim/compass/internal/compass"
 	"github.com/cognitive-sim/compass/internal/scenario"
+	"github.com/cognitive-sim/compass/internal/server"
 )
 
 func main() {
@@ -100,7 +101,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	c, err := scenario.Dial(*addr)
+	c, err := server.Dial(*addr)
 	if err != nil {
 		return err
 	}

@@ -54,7 +54,7 @@ func run() error {
 		srv.Shutdown(ctx)
 	}()
 
-	c, err := scenario.Dial(srv.HTTPAddr())
+	c, err := server.Dial(srv.HTTPAddr())
 	if err != nil {
 		return err
 	}

@@ -75,7 +75,7 @@ type node struct {
 	streamAddr   string
 	capacity     float64
 	memoryBudget int64
-	client       *nodeClient
+	client       *server.Client
 
 	// All below are guarded by the coordinator's mu.
 	lastSeen time.Time
@@ -222,7 +222,7 @@ func (c *Coordinator) register(req *RegisterRequest) error {
 		streamAddr:   req.StreamAddr,
 		capacity:     req.Capacity,
 		memoryBudget: req.MemoryBudget,
-		client:       newNodeClient(req.HTTPAddr, c.opts.NodeTimeout),
+		client:       server.NewClient(req.HTTPAddr, c.opts.NodeTimeout),
 		lastSeen:     time.Now(),
 		resident:     make(map[string]bool),
 	}
@@ -370,7 +370,13 @@ func (c *Coordinator) checkpointPush(p *CheckpointPush) {
 		return
 	}
 	for _, r := range c.recs {
-		if r.nodeID == p.NodeID && r.nodeSessionID == p.NodeSessionID && !r.ended {
+		// A record held by a mover is being re-hosted from a boundary
+		// it has already read. A push landing now (an async push for a
+		// later boundary, racing a crash-fault restore) must not advance
+		// the horizon: the proxy would release the old owner's records
+		// up to it, and the new owner, replaying from the earlier
+		// boundary, would emit them again.
+		if r.nodeID == p.NodeID && r.nodeSessionID == p.NodeSessionID && !r.ended && !r.migrating {
 			doc := p.Export
 			// Pushes ship asynchronously and can land out of order; keep
 			// the newest boundary.
@@ -727,7 +733,7 @@ func (c *Coordinator) getRec(id string) (*rec, error) {
 }
 
 // ownerClient returns the current owner's client and node session id.
-func (c *Coordinator) ownerClient(r *rec) (*nodeClient, string, error) {
+func (c *Coordinator) ownerClient(r *rec) (*server.Client, string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.nodes[r.nodeID]

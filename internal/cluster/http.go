@@ -75,7 +75,7 @@ func (c *Coordinator) status(r *rec) SessionStatus {
 		return st
 	}
 	if nc, id, err := c.ownerClient(r); err == nil {
-		if info, err := nc.sessionInfo(id); err == nil {
+		if info, err := nc.Info(id); err == nil {
 			st.Info = info
 		}
 	}
@@ -269,7 +269,15 @@ func (c *Coordinator) handler() http.Handler {
 				}
 				c.awaitInjectSync(rc, 5*time.Second)
 			}
-			info, err := nc.lifecycle(id, verb)
+			var info *server.Info
+			switch verb {
+			case "pause":
+				info, err = nc.Pause(id)
+			case "resume":
+				info, err = nc.Resume(id, 0)
+			case "stop":
+				info, err = nc.Stop(id)
+			}
 			if err != nil {
 				clusterError(w, http.StatusConflict, err)
 				return
@@ -306,7 +314,7 @@ func (c *Coordinator) handler() http.Handler {
 		// the proxy before the step must reach the owner before the ticks
 		// it grants can fire.
 		c.awaitInjectSync(rc, 5*time.Second)
-		info, err := nc.step(id, &req)
+		info, err := nc.Step(id, req.Ticks, req.MinInjected)
 		if err != nil {
 			clusterError(w, http.StatusConflict, err)
 			return
@@ -329,15 +337,15 @@ func (c *Coordinator) handler() http.Handler {
 			clusterError(w, http.StatusConflict, err)
 			return
 		}
-		info, err := nc.scenarioReport(id, &req)
-		if err != nil {
+		var info server.Info
+		if err := nc.Do(http.MethodPost, "/v1/sessions/"+id+"/scenario-report", &req, &info); err != nil {
 			clusterError(w, http.StatusConflict, err)
 			return
 		}
 		c.mu.Lock()
 		st := rc.statusLocked()
 		c.mu.Unlock()
-		st.Info = info
+		st.Info = &info
 		clusterJSON(w, http.StatusOK, st)
 	}))
 
@@ -347,7 +355,7 @@ func (c *Coordinator) handler() http.Handler {
 			clusterError(w, http.StatusConflict, err)
 			return
 		}
-		raw, err := nc.checkpoint(id)
+		raw, err := nc.Checkpoint(id)
 		if err != nil {
 			clusterError(w, http.StatusConflict, err)
 			return
@@ -358,7 +366,7 @@ func (c *Coordinator) handler() http.Handler {
 
 	mux.HandleFunc("DELETE /v1/cluster/sessions/{id}", withRec(func(w http.ResponseWriter, r *http.Request, rc *rec) {
 		if nc, id, err := c.ownerClient(rc); err == nil {
-			if err := nc.deleteSession(id); err != nil {
+			if err := nc.Remove(id); err != nil {
 				c.logf("delete %s: owner cleanup failed: %v", rc.clusterID, err)
 			}
 		}

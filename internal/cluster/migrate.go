@@ -63,7 +63,7 @@ func (c *Coordinator) CreateSession(req *server.CreateRequest) (*SessionStatus, 
 
 	fwd := *req
 	fwd.Placement = fmt.Sprintf("coordinator:%s:%s", reason, n.id)
-	info, err := n.client.createSession(&fwd)
+	_, info, err := n.client.Create(&fwd)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func (c *Coordinator) Migrate(clusterID, target string) (*SessionStatus, error) 
 	}
 
 	// 1. Export (pauses at the next chunk boundary).
-	doc, err := src.client.exportSession(r.nodeSessionID)
+	doc, err := src.client.Export(r.nodeSessionID)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: export %s from %s: %w", clusterID, r.nodeID, err)
 	}
@@ -180,7 +180,7 @@ func (c *Coordinator) Migrate(clusterID, target string) (*SessionStatus, error) 
 	oldSessionID := r.nodeSessionID
 	srcID := r.nodeID
 	c.adoptOwner(r, dst, info, doc.Tick, len(doc.PendingSpikes))
-	if err := src.client.deleteSession(oldSessionID); err != nil {
+	if err := src.client.Remove(oldSessionID); err != nil {
 		c.logf("migrate %s: source cleanup on %s failed: %v", clusterID, srcID, err)
 	}
 	c.awaitInjectSync(r, 10*time.Second)
@@ -188,7 +188,7 @@ func (c *Coordinator) Migrate(clusterID, target string) (*SessionStatus, error) 
 
 	// 4. Resume on the destination.
 	if !r.userPaused {
-		if _, err := dst.client.lifecycle(info.ID, "resume"); err != nil {
+		if _, err := dst.client.Resume(info.ID, 0); err != nil {
 			return nil, fmt.Errorf("cluster: resume %s on %s: %w", clusterID, dst.id, err)
 		}
 	}
@@ -229,7 +229,7 @@ func (c *Coordinator) awaitInjectSync(r *rec, timeout time.Duration) {
 		waitCondDeadline(c.cond, deadline)
 	}
 	want := uint64(r.genPending) + r.fwdSent
-	var nc *nodeClient
+	var nc *server.Client
 	var sid, owner string
 	if n := c.nodes[r.nodeID]; n != nil && !n.dead {
 		nc, sid, owner = n.client, r.nodeSessionID, n.id
@@ -239,7 +239,7 @@ func (c *Coordinator) awaitInjectSync(r *rec, timeout time.Duration) {
 		return
 	}
 	for time.Now().Before(deadline) {
-		info, err := nc.sessionInfo(sid)
+		info, err := nc.Info(sid)
 		if err == nil && info.Injected >= want {
 			return
 		}
@@ -269,8 +269,8 @@ func (c *Coordinator) awaitJournaled(r *rec, min uint64, timeout time.Duration) 
 // resumeBestEffort un-parks a session after a failed migration so the
 // export's pause doesn't strand it; its error (if any) is folded into
 // the returned suffix for the caller's message.
-func resumeBestEffort(nc *nodeClient, id string) string {
-	if _, err := nc.lifecycle(id, "resume"); err != nil {
+func resumeBestEffort(nc *server.Client, id string) string {
+	if _, err := nc.Resume(id, 0); err != nil {
 		return fmt.Sprintf(" (and resume after abort failed: %v)", err)
 	}
 	return ""
@@ -288,7 +288,7 @@ func (c *Coordinator) importOn(dst *node, r *rec, doc *server.ExportDoc, peerHTT
 		Placement:    placement,
 		StartPaused:  true,
 	}
-	return dst.client.importSession(req)
+	return dst.client.Import(req)
 }
 
 // adoptOwner atomically rebinds a record to its new owner; basePending
@@ -403,7 +403,7 @@ func (c *Coordinator) restore(r *rec, cause string) {
 	c.awaitInjectSync(r, 10*time.Second)
 	c.waitProxyAttach(r, 10*time.Second)
 	if !r.userPaused {
-		if _, err := dst.client.lifecycle(info.ID, "resume"); err != nil {
+		if _, err := dst.client.Resume(info.ID, 0); err != nil {
 			c.logf("restore %s: resume on %s failed: %v", r.clusterID, dst.id, err)
 		}
 	}
@@ -413,7 +413,7 @@ func (c *Coordinator) restore(r *rec, cause string) {
 	dead := c.nodes[deadNode]
 	c.mu.Unlock()
 	if dead != nil && !dead.dead {
-		if err := dead.client.deleteSession(oldSessionID); err != nil {
+		if err := dead.client.Remove(oldSessionID); err != nil {
 			c.logf("restore %s: remnant cleanup on %s failed: %v", r.clusterID, deadNode, err)
 		}
 	}
@@ -433,7 +433,7 @@ func (c *Coordinator) restoreFresh(r *rec, deadNode, cause string) {
 		c.endSession(r, "failed", fmt.Sprintf("restore: %v", err))
 		return
 	}
-	info, err := dst.client.createSession(&req)
+	_, info, err := dst.client.Create(&req)
 	if err != nil {
 		c.endSession(r, "failed", fmt.Sprintf("restore create: %v", err))
 		return
@@ -445,7 +445,7 @@ func (c *Coordinator) restoreFresh(r *rec, deadNode, cause string) {
 	c.awaitInjectSync(r, 10*time.Second)
 	c.waitProxyAttach(r, 10*time.Second)
 	if !r.userPaused {
-		if _, err := dst.client.lifecycle(info.ID, "resume"); err != nil {
+		if _, err := dst.client.Resume(info.ID, 0); err != nil {
 			c.logf("restore %s: resume on %s failed: %v", r.clusterID, dst.id, err)
 		}
 	}

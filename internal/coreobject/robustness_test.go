@@ -152,3 +152,41 @@ func TestHostileHeaderCountsStayBounded(t *testing.T) {
 		})
 	}
 }
+
+// The fuzz targets below hold the network decoders to one property:
+// every input yields an error or a usable value, never a panic. Their
+// seed corpora under testdata/fuzz/ carry the crafted header bodies of
+// TestHostileHeaderCountsStayBounded plus one valid document each.
+
+func FuzzReadModel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m, err := ReadModel(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if verr := m.Validate(); verr != nil {
+			t.Fatalf("ReadModel returned an invalid model: %v", verr)
+		}
+	})
+}
+
+func FuzzReadCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cp, err := ReadCheckpoint(bytes.NewReader(body))
+		if err == nil && cp == nil {
+			t.Fatal("ReadCheckpoint returned neither a checkpoint nor an error")
+		}
+	})
+}
+
+func FuzzDecodeSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := DecodeSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if verr := s.Validate(); verr != nil {
+			t.Fatalf("DecodeSpec returned an invalid spec: %v", verr)
+		}
+	})
+}

@@ -48,22 +48,26 @@ func TestBatchedSessionsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := mgr.Create(CreateParams{Name: "c", Image: img, Cfg: cfg, Ticks: 60})
+			// c starts parked so its mid-run pause below lands at a chunk
+			// boundary however fast the host runs 60 ticks.
+			c, err := mgr.Create(CreateParams{Name: "c", Image: img, Cfg: cfg, Ticks: 60, StartPaused: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// b joins mid-run: a and c are already several chunks in when
-			// its first window runs.
+			// b joins mid-run: a is already a chunk in when its first
+			// window runs.
 			waitTicks(t, a, 10)
 			b, err := mgr.Create(CreateParams{Name: "b", Image: img, Cfg: cfg, Ticks: 45})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// c pauses at a chunk boundary mid-run, then resumes: the
-			// group keeps advancing a and b while c is parked.
-			if err := c.Pause(); err != nil {
+			// c runs 20 ticks and parks at that chunk boundary mid-run,
+			// then resumes: the group keeps advancing a and b while c is
+			// parked.
+			if err := c.StepTicks(20); err != nil {
 				t.Fatal(err)
 			}
+			waitTicks(t, c, 20)
 			c.WaitState(30*time.Second, func(st State) bool { return st == StatePaused || st.Terminal() })
 			waitTicks(t, b, 10)
 			if err := c.Resume(); err != nil {
@@ -199,8 +203,8 @@ func TestBatchedStreamInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := traceToWire(stats.Trace)
-	sortWire(want)
-	sortWire(received)
+	spikeio.Sort(want)
+	spikeio.Sort(received)
 	if len(received) != len(want) {
 		t.Fatalf("streamed lane fired %d spikes, solo reference fired %d", len(received), len(want))
 	}

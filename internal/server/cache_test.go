@@ -3,9 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -17,39 +15,20 @@ import (
 	"github.com/cognitive-sim/compass/internal/truenorth"
 )
 
-// postSession creates one session over HTTP and returns its Info.
-func postSession(t *testing.T, base string, body map[string]any) (Info, int) {
-	t.Helper()
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/v1/sessions", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+// postSession creates one session through the control-plane client
+// and returns its Info.
+func postSession(cl *Client, body map[string]any) (Info, error) {
 	var info Info
-	if resp.StatusCode == http.StatusCreated {
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return info, resp.StatusCode
+	err := cl.Do(http.MethodPost, "/v1/sessions", body, &info)
+	return info, err
 }
 
-// waitDone polls a session over HTTP until it reaches the done state.
-func waitDone(t *testing.T, base, id string) {
+// waitDone polls a session until it reaches the done state.
+func waitDone(t *testing.T, cl *Client, id string) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		resp, err := http.Get(base + "/v1/sessions/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cur Info
-		err = json.NewDecoder(resp.Body).Decode(&cur)
-		resp.Body.Close()
+		cur, err := cl.Info(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +51,7 @@ func waitDone(t *testing.T, base, id string) {
 // the manager charges the image bytes once).
 func TestModelCacheSingleflight(t *testing.T) {
 	srv := startTestServer(t, ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10})
-	base := "http://" + srv.HTTPAddr()
+	cl := NewClient(srv.HTTPAddr(), 60*time.Second)
 
 	m := testModel(4, 91)
 	var mbuf bytes.Buffer
@@ -88,11 +67,11 @@ func TestModelCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			info, code := postSession(t, base, map[string]any{
+			info, err := postSession(cl, map[string]any{
 				"source": src, "ranks": 2, "threads": 2, "transport": "shmem", "ticks": 20,
 			})
-			if code != http.StatusCreated {
-				t.Errorf("create %d: status %d", i, code)
+			if err != nil {
+				t.Errorf("create %d: %v", i, err)
 				return
 			}
 			infos[i] = info
@@ -103,7 +82,7 @@ func TestModelCacheSingleflight(t *testing.T) {
 		return
 	}
 	for i := 0; i < n; i++ {
-		waitDone(t, base, infos[i].ID)
+		waitDone(t, cl, infos[i].ID)
 	}
 
 	st := srv.Manager().ModelCache().Stats()
@@ -123,12 +102,10 @@ func TestModelCacheSingleflight(t *testing.T) {
 	}
 
 	// The cache counters are on /metrics.
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
+	var text []byte
+	if err := cl.Do(http.MethodGet, "/metrics", nil, &text); err != nil {
 		t.Fatal(err)
 	}
-	text, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	for _, name := range []string{
 		"compassd_model_cache_hits",
 		"compassd_model_cache_misses",
@@ -146,7 +123,7 @@ func TestModelCacheSingleflight(t *testing.T) {
 // compiled model does not recompile.
 func TestSpecSourceCached(t *testing.T) {
 	srv := startTestServer(t, ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10})
-	base := "http://" + srv.HTTPAddr()
+	cl := NewClient(srv.HTTPAddr(), 60*time.Second)
 	spec := map[string]any{
 		"seed": 7,
 		"regions": []map[string]any{{
@@ -163,13 +140,13 @@ func TestSpecSourceCached(t *testing.T) {
 		"source": map[string]any{"kind": "spec", "spec": spec},
 		"ticks":  10,
 	}
-	a, code := postSession(t, base, body)
-	if code != http.StatusCreated {
-		t.Fatalf("first create: status %d", code)
+	a, err := postSession(cl, body)
+	if err != nil {
+		t.Fatalf("first create: %v", err)
 	}
-	b, code := postSession(t, base, body)
-	if code != http.StatusCreated {
-		t.Fatalf("second create: status %d", code)
+	b, err := postSession(cl, body)
+	if err != nil {
+		t.Fatalf("second create: %v", err)
 	}
 	st := srv.Manager().ModelCache().Stats()
 	if st.Misses != 1 || st.Hits != 1 {
@@ -178,8 +155,8 @@ func TestSpecSourceCached(t *testing.T) {
 	if a.ModelHash != b.ModelHash {
 		t.Fatalf("hashes differ across cached creates: %s vs %s", a.ModelHash, b.ModelHash)
 	}
-	waitDone(t, base, a.ID)
-	waitDone(t, base, b.ID)
+	waitDone(t, cl, a.ID)
+	waitDone(t, cl, b.ID)
 }
 
 // TestMemoryAdmissionSharedImage is the double-counting regression: a
