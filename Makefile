@@ -105,14 +105,19 @@ race-transport:
 		./internal/compass/ ./internal/mpi/ ./internal/pgas/
 
 # Fuzz smoke: ten seconds of native Go fuzzing per network decoder —
-# binary models, checkpoints, CoreObject specs, and the stream-plane
-# handshake. Each must return an error or a value, never panic; the
-# committed seed corpora under testdata/fuzz/ also run in `make test`.
+# binary models, checkpoints, CoreObject specs, the stream-plane hello
+# and frames, CSPK spike streams, and the -faults grammar. Each must
+# return an error or a value, never panic (the frame reader also keeps
+# its allocation bounded by the input); the committed seed corpora under
+# testdata/fuzz/ also run in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime 10s ./internal/coreobject/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s ./internal/coreobject/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/coreobject/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadStreamHandshake$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/spikeio/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/faults/
 
 # End-to-end serving smoke: build compassd, then run the cmd/smoke
 # serve drill — session create/pause/resume/checkpoint over HTTP, live

@@ -14,21 +14,18 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/cognitive-sim/compass/internal/cocomac"
 	"github.com/cognitive-sim/compass/internal/compass"
 	"github.com/cognitive-sim/compass/internal/coreobject"
 	"github.com/cognitive-sim/compass/internal/faults"
-	"github.com/cognitive-sim/compass/internal/modelcache"
 	"github.com/cognitive-sim/compass/internal/pcc"
 	"github.com/cognitive-sim/compass/internal/power"
 	"github.com/cognitive-sim/compass/internal/server"
@@ -59,7 +56,6 @@ func main() {
 		statsJSON    = flag.String("stats-json", "", "write the full run statistics (per-rank rows, load imbalance) as JSON")
 		faultSpec    = flag.String("faults", "", `inject transport faults: "class[:k=v,...];..." (classes drop, dup, delay, stall, crash; selectors rank=, tick=, dest=, k=, attempts=, p=)`)
 		faultSeed    = flag.Uint64("fault-seed", 1, "seed for probabilistic fault decisions (p= selectors)")
-		compileCache = flag.String("compile-cache", "", "directory caching compiled models by content address (spec, seed, ranks); hits skip the PCC")
 	)
 	flag.Parse()
 	if err := run(runArgs{
@@ -71,7 +67,6 @@ func main() {
 		metricsPrefix: *metrics, metricsListen: *metricsAddr,
 		tracePath: *traceOut, statsJSONPath: *statsJSON,
 		faultSpec: *faultSpec, faultSeed: *faultSeed,
-		compileCache: *compileCache,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "compass:", err)
 		os.Exit(1)
@@ -93,7 +88,6 @@ type runArgs struct {
 	statsJSONPath              string
 	faultSpec                  string
 	faultSeed                  uint64
-	compileCache               string
 }
 
 func run(a runArgs) error {
@@ -106,7 +100,7 @@ func run(a runArgs) error {
 		return err
 	}
 
-	model, placement, err := loadModel(specPath, modelPath, cocomacCores, seed, ranks, ticks, a.compileCache)
+	model, placement, err := loadModel(specPath, modelPath, cocomacCores, seed, ranks, ticks)
 	if err != nil {
 		return err
 	}
@@ -338,7 +332,7 @@ func writeStatsJSON(path string, stats *compass.RunStats) error {
 }
 
 // loadModel builds the model from whichever source was selected.
-func loadModel(specPath, modelPath string, cocomacCores int, seed uint64, ranks, ticks int, cacheDir string) (*truenorth.Model, []int, error) {
+func loadModel(specPath, modelPath string, cocomacCores int, seed uint64, ranks, ticks int) (*truenorth.Model, []int, error) {
 	selected := 0
 	for _, on := range []bool{specPath != "", modelPath != "", cocomacCores > 0} {
 		if on {
@@ -348,107 +342,34 @@ func loadModel(specPath, modelPath string, cocomacCores int, seed uint64, ranks,
 	if selected != 1 {
 		return nil, nil, fmt.Errorf("select exactly one of -spec, -model, -cocomac-cores")
 	}
-	switch {
-	case specPath != "":
-		f, err := os.Open(specPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		spec, err := coreobject.DecodeSpec(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		return cachedCompile(cacheDir, spec, ranks)
-	case modelPath != "":
+	if modelPath != "" {
 		f, err := os.Open(modelPath)
 		if err != nil {
 			return nil, nil, err
 		}
 		defer f.Close()
 		model, err := coreobject.ReadModel(f)
+		return model, nil, err
+	}
+	var spec *coreobject.NetworkSpec
+	if specPath != "" {
+		f, err := os.Open(specPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		return model, nil, nil
-	default:
-		net := cocomac.Generate(seed)
-		spec, err := net.ToSpec(cocomacCores, uint64(ticks))
-		if err != nil {
-			return nil, nil, err
-		}
-		return cachedCompile(cacheDir, spec, ranks)
-	}
-}
-
-// rankOfSidecar is the placement document stored next to a cached model.
-type rankOfSidecar struct {
-	RankOf []int `json:"rank_of"`
-	Ranks  int   `json:"ranks"`
-}
-
-// cachedCompile compiles a spec through an optional on-disk cache keyed
-// by the content address of (spec document, ranks): a hit loads the
-// binary model and its placement sidecar instead of re-running the PCC.
-func cachedCompile(dir string, spec *coreobject.NetworkSpec, ranks int) (*truenorth.Model, []int, error) {
-	if dir == "" {
-		res, err := pcc.Compile(spec, ranks)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res.Model, res.RankOf, nil
-	}
-	key, err := modelcache.SpecKey(spec, ranks)
-	if err != nil {
-		return nil, nil, err
-	}
-	modelFile := filepath.Join(dir, key+".cmpm")
-	sideFile := filepath.Join(dir, key+".rankof.json")
-	if f, err := os.Open(modelFile); err == nil {
 		defer f.Close()
-		model, err := coreobject.ReadModel(f)
-		if err != nil {
-			return nil, nil, fmt.Errorf("compile-cache: %s: %w", modelFile, err)
+		if spec, err = coreobject.DecodeSpec(f); err != nil {
+			return nil, nil, err
 		}
-		var side rankOfSidecar
-		raw, err := os.ReadFile(sideFile)
-		if err != nil {
-			return nil, nil, fmt.Errorf("compile-cache: %s: %w", sideFile, err)
+	} else {
+		var err error
+		if spec, err = cocomac.Generate(seed).ToSpec(cocomacCores, uint64(ticks)); err != nil {
+			return nil, nil, err
 		}
-		if err := json.Unmarshal(raw, &side); err != nil {
-			return nil, nil, fmt.Errorf("compile-cache: %s: %w", sideFile, err)
-		}
-		fmt.Printf("compile cache hit: %s\n", key[:12])
-		return model, side.RankOf, nil
 	}
 	res, err := pcc.Compile(spec, ranks)
 	if err != nil {
 		return nil, nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("compile-cache: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := coreobject.WriteModel(&buf, res.Model); err != nil {
-		return nil, nil, err
-	}
-	side, err := json.Marshal(rankOfSidecar{RankOf: res.RankOf, Ranks: res.Ranks})
-	if err != nil {
-		return nil, nil, err
-	}
-	// Write-temp-then-rename keeps a concurrently launched run from
-	// reading a partial cache file.
-	for _, w := range []struct {
-		path string
-		data []byte
-	}{{modelFile, buf.Bytes()}, {sideFile, side}} {
-		tmp := w.path + ".tmp"
-		if err := os.WriteFile(tmp, w.data, 0o644); err != nil {
-			return nil, nil, fmt.Errorf("compile-cache: %w", err)
-		}
-		if err := os.Rename(tmp, w.path); err != nil {
-			return nil, nil, fmt.Errorf("compile-cache: %w", err)
-		}
 	}
 	return res.Model, res.RankOf, nil
 }

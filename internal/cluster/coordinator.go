@@ -180,7 +180,7 @@ func (c *Coordinator) Start() error {
 		return fmt.Errorf("cluster: stream listen: %w", err)
 	}
 	c.httpLn, c.streamLn = httpLn, streamLn
-	c.httpSrv = &http.Server{Handler: c.handler()}
+	c.httpSrv = &http.Server{Handler: c.handler(), ReadHeaderTimeout: server.HandshakeTimeout}
 	go c.httpSrv.Serve(httpLn)
 	c.wg.Add(2)
 	go c.acceptProxy(streamLn)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -58,12 +57,13 @@ type genEvent struct {
 
 // proxyConn is one client connection being served.
 type proxyConn struct {
-	c     *Coordinator
-	r     *rec
-	flags byte
+	c      *Coordinator
+	r      *rec
+	flags  byte
+	client net.Conn
+	frames *server.FrameWriter // client egress; used only by run
 
 	mu      sync.Mutex
-	client  net.Conn
 	pending []genEvent // records above the committed horizon
 	closed  bool
 }
@@ -110,26 +110,24 @@ func (c *Coordinator) acceptProxy(ln net.Listener) {
 // serveProxyConn handles one client stream end to end.
 func (c *Coordinator) serveProxyConn(conn net.Conn) {
 	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	flags, id, err := server.ReadStreamHandshake(conn)
-	if err != nil {
-		server.WriteStreamReject(conn, err)
-		return
+	conn.SetReadDeadline(time.Now().Add(server.HandshakeTimeout))
+	flags, id, err := server.ReadHello(conn)
+	var r *rec
+	if err == nil {
+		r, err = c.getRec(id)
 	}
-	r, err := c.getRec(id)
-	if err != nil {
-		server.WriteStreamReject(conn, err)
-		return
+	if err == nil && flags&(server.StreamFlagInject|server.StreamFlagSubscribe) == 0 {
+		err = fmt.Errorf("cluster: handshake requests neither inject nor subscribe")
 	}
-	if flags&(server.StreamFlagInject|server.StreamFlagSubscribe) == 0 {
-		server.WriteStreamReject(conn, fmt.Errorf("cluster: handshake requests neither inject nor subscribe"))
+	if err != nil {
+		server.WriteReply(conn, err)
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	if err := server.WriteStreamOK(conn); err != nil {
+	if server.WriteReply(conn, nil) != nil {
 		return
 	}
-	p := &proxyConn{c: c, r: r, flags: flags, client: conn}
+	p := &proxyConn{c: c, r: r, flags: flags, client: conn, frames: server.NewFrameWriter(conn)}
 	c.mu.Lock()
 	r.proxyRefs++
 	c.mu.Unlock()
@@ -439,12 +437,11 @@ func (p *proxyConn) flushPending(horizon uint64, gen int) bool {
 		p.pending[i] = genEvent{}
 	}
 	p.pending = keep
-	client := p.client
 	p.mu.Unlock()
 	if len(out) == 0 {
 		return true
 	}
-	return writeFrames(client, out) == nil
+	return p.frames.Write(out) == nil
 }
 
 // dropGenAbove discards a dead generation's uncommitted records — the
@@ -472,33 +469,18 @@ func (p *proxyConn) dropGenAbove(gen int, horizon uint64) {
 // subscriber that simply never writes) stops injection but keeps egress
 // flowing, mirroring compassd's stream plane; clientGone fires only on
 // protocol violations or mid-frame errors, which tear the connection
-// down.
+// down. Records are journaled piece by piece as they arrive, so a large
+// frame never sits whole in memory.
 func (p *proxyConn) readClient(clientGone chan struct{}) {
-	var lenBuf [4]byte
-	rec := make([]byte, spikeio.RecordSize)
-	inject := p.flags&server.StreamFlagInject != 0
+	fr := server.NewFrameReader(p.client, p.flags&server.StreamFlagInject != 0)
+	var events []spikeio.Event
 	for {
-		if _, err := io.ReadFull(p.client, lenBuf[:]); err != nil {
+		var err error
+		if events, err = fr.Next(events[:0]); err != nil {
 			if err != io.EOF {
 				close(clientGone)
 			}
 			return
-		}
-		count := binary.LittleEndian.Uint32(lenBuf[:])
-		if count == 0 {
-			continue
-		}
-		if count > 1<<20 || !inject {
-			close(clientGone)
-			return
-		}
-		events := make([]spikeio.Event, 0, count)
-		for i := uint32(0); i < count; i++ {
-			if _, err := io.ReadFull(p.client, rec); err != nil {
-				close(clientGone)
-				return
-			}
-			events = append(events, spikeio.DecodeRecord(rec))
 		}
 		p.c.journalInject(p.r, events)
 	}
@@ -512,26 +494,4 @@ func (c *Coordinator) journalInject(r *rec, events []spikeio.Event) {
 	c.startForwarderLocked(r)
 	c.cond.Broadcast()
 	c.mu.Unlock()
-}
-
-// writeFrames encodes records into one or more frames on the client
-// connection.
-func writeFrames(w io.Writer, events []spikeio.Event) error {
-	const maxBatch = 4096
-	for len(events) > 0 {
-		n := len(events)
-		if n > maxBatch {
-			n = maxBatch
-		}
-		buf := make([]byte, 4+n*spikeio.RecordSize)
-		binary.LittleEndian.PutUint32(buf, uint32(n))
-		for i, ev := range events[:n] {
-			spikeio.EncodeRecord(buf[4+i*spikeio.RecordSize:], ev)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		events = events[n:]
-	}
-	return nil
 }

@@ -122,7 +122,7 @@ func (r Rule) validate() error {
 	if r.Class >= NumClasses {
 		return fmt.Errorf("faults: unknown class %d", r.Class)
 	}
-	if r.P < 0 || r.P > 1 {
+	if !(r.P >= 0 && r.P <= 1) { // also rejects NaN
 		return fmt.Errorf("faults: %s probability %v outside [0, 1]", r.Class, r.P)
 	}
 	if (r.Class == Stall || r.Class == Crash) && r.Dest != Any && r.Dest != 0 {

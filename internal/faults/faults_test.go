@@ -193,3 +193,22 @@ func TestSummaryCountsDedups(t *testing.T) {
 		t.Fatalf("dedups %d, want 3", got)
 	}
 }
+
+// FuzzParse holds the -faults grammar to the decoders' property: an
+// error or an injector whose every rule is valid, never a panic.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec, 1)
+		if err != nil {
+			return
+		}
+		if len(in.rules) == 0 {
+			t.Fatal("accepted a spec with no rules")
+		}
+		for _, r := range in.rules {
+			if !(r.P >= 0 && r.P <= 1) || r.K < 1 || r.Attempts < 1 || r.validate() != nil {
+				t.Fatalf("accepted an invalid rule %+v", r)
+			}
+		}
+	})
+}

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -266,11 +265,13 @@ func (c *Client) DialStream(id string, flags byte) (*StreamClient, error) {
 }
 
 // StreamClient is a minimal data-plane client: it performs the CSTR
-// handshake and exchanges record frames. Tests and cmd/smoke use it; it
-// also documents the protocol from the client's side.
+// handshake and exchanges record frames. Tests, cmd/smoke, the scenario
+// engine and the cluster proxy use it. One goroutine may Send while
+// another Recvs; concurrent Sends (or Recvs) are not safe.
 type StreamClient struct {
 	conn net.Conn
-	br   *bufio.Reader
+	fw   *FrameWriter
+	fr   *FrameReader
 }
 
 // DialStream connects to a server's stream listener and binds to a
@@ -281,77 +282,25 @@ func DialStream(addr, sessionID string, flags byte) (*StreamClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	hello := make([]byte, 8+len(sessionID))
-	copy(hello, streamMagic)
-	hello[4] = streamVersion
-	hello[5] = flags
-	binary.LittleEndian.PutUint16(hello[6:], uint16(len(sessionID)))
-	copy(hello[8:], sessionID)
-	if _, err := conn.Write(hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
 	br := bufio.NewReaderSize(conn, 1<<16)
-	var reply [4]byte
-	if _, err := io.ReadFull(br, reply[:]); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("server: handshake reply: %w", err)
+	if err = WriteHello(conn, sessionID, flags); err == nil {
+		err = ReadReply(br)
 	}
-	switch string(reply[:]) {
-	case streamOK:
-		return &StreamClient{conn: conn, br: br}, nil
-	case streamErrTag:
-		var lenBuf [2]byte
-		msg := "handshake rejected"
-		if _, err := io.ReadFull(br, lenBuf[:]); err == nil {
-			buf := make([]byte, binary.LittleEndian.Uint16(lenBuf[:]))
-			if _, err := io.ReadFull(br, buf); err == nil {
-				msg = string(buf)
-			}
-		}
+	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("server: %s", msg)
-	default:
-		conn.Close()
-		return nil, fmt.Errorf("server: bad handshake reply %q", reply[:])
-	}
-}
-
-// Send writes one frame of spike records for injection.
-func (c *StreamClient) Send(events []spikeio.Event) error {
-	buf := make([]byte, 4+len(events)*spikeio.RecordSize)
-	binary.LittleEndian.PutUint32(buf, uint32(len(events)))
-	for i, ev := range events {
-		spikeio.EncodeRecord(buf[4+i*spikeio.RecordSize:], ev)
-	}
-	_, err := c.conn.Write(buf)
-	return err
-}
-
-// Recv reads one egress frame. It returns io.EOF once the server has
-// closed the stream (session over) and all frames are consumed.
-func (c *StreamClient) Recv() ([]spikeio.Event, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(c.br, lenBuf[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
 		return nil, err
 	}
-	count := binary.LittleEndian.Uint32(lenBuf[:])
-	if count > maxFrameRecords {
-		return nil, fmt.Errorf("server: frame of %d records exceeds limit", count)
-	}
-	out := make([]spikeio.Event, count)
-	rec := make([]byte, spikeio.RecordSize)
-	for i := range out {
-		if _, err := io.ReadFull(c.br, rec); err != nil {
-			return nil, fmt.Errorf("server: frame truncated at record %d: %w", i, err)
-		}
-		out[i] = spikeio.DecodeRecord(rec)
-	}
-	return out, nil
+	return &StreamClient{conn: conn, fw: NewFrameWriter(conn), fr: NewFrameReader(br, true)}, nil
 }
+
+// Send writes spike records for injection, split into frames of at
+// most egressBatch records.
+func (c *StreamClient) Send(events []spikeio.Event) error { return c.fw.Write(events) }
+
+// Recv reads the next piece of egress (at most egressBatch records) into
+// a fresh slice. It returns io.EOF once the server has closed the stream
+// (session over) at a frame boundary.
+func (c *StreamClient) Recv() ([]spikeio.Event, error) { return c.fr.Next(nil) }
 
 // CloseWrite half-closes the connection: the server sees end-of-inject
 // while egress frames keep flowing. No-op error on non-TCP conns.

@@ -103,7 +103,7 @@ func (srv *Server) Start() error {
 	srv.streamAddr = streamLn.Addr().String()
 	srv.mu.Unlock()
 
-	srv.httpSrv = &http.Server{Handler: srv.handler()}
+	srv.httpSrv = &http.Server{Handler: srv.handler(), ReadHeaderTimeout: HandshakeTimeout}
 	srv.wg.Add(1)
 	go srv.acceptStreams(streamLn)
 	go srv.httpSrv.Serve(httpLn)

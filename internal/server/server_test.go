@@ -761,15 +761,3 @@ func TestWaitInjectedBarrier(t *testing.T) {
 		t.Fatalf("info reports %d injected, want 3", got)
 	}
 }
-
-// FuzzReadStreamHandshake holds the stream-plane hello parser to the
-// network decoders' property: an error or an in-range session ID, never
-// a panic.
-func FuzzReadStreamHandshake(f *testing.F) {
-	f.Fuzz(func(t *testing.T, body []byte) {
-		_, id, err := ReadStreamHandshake(bytes.NewReader(body))
-		if err == nil && (len(id) == 0 || len(id) > 256) {
-			t.Fatalf("accepted a session ID of %d bytes", len(id))
-		}
-	})
-}

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,64 +10,20 @@ import (
 	"github.com/cognitive-sim/compass/internal/spikeio"
 )
 
-// The stream plane's wire protocol. A client connects to the stream
-// listener, sends one handshake, and then speaks length-prefixed frames
-// of CSPK-shaped spike records (spikeio.RecordSize bytes each) in
-// either or both directions:
-//
-//	handshake (client → server):
-//	    "CSTR"  u8 version  u8 flags  u16le idLen  idLen×id bytes
-//	reply (server → client):
-//	    "CSOK"                         — accepted
-//	    "CERR"  u16le msgLen  msg      — rejected, connection closes
-//	frames (both directions, after acceptance):
-//	    u32le recordCount  recordCount×14-byte records
-//
-// With StreamFlagInject set, client frames are queued for injection at
-// the session's next tick boundary. With StreamFlagSubscribe set, the
-// server pushes the session's fired spikes as frames; a slow consumer's
-// queue evicts oldest-first and the evictions are counted in the
-// session's stream_dropped_records (and compassd_stream_dropped_records_total).
-// A zero-count frame is a no-op keepalive in either direction.
-const (
-	streamMagic   = "CSTR"
-	streamOK      = "CSOK"
-	streamErrTag  = "CERR"
-	streamVersion = 1
-
-	// StreamFlagInject requests client→session spike injection.
-	StreamFlagInject byte = 1 << 0
-	// StreamFlagSubscribe requests session→client spike egress.
-	StreamFlagSubscribe byte = 1 << 1
-
-	// maxFrameRecords bounds one frame (16 MiB of records) so a corrupt
-	// length prefix cannot demand an absurd allocation.
-	maxFrameRecords = 1 << 20
-
-	// handshakeTimeout bounds how long an idle pre-handshake connection
-	// may hold a goroutine.
-	handshakeTimeout = 10 * time.Second
-
-	// egressBatch is the writer's maximum records per frame.
-	egressBatch = 4096
-)
-
 // serveStreamConn handles one data-plane connection end to end.
 func (srv *Server) serveStreamConn(conn net.Conn) {
 	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	flags, id, err := readHandshake(conn)
-	if err != nil {
-		writeReject(conn, err)
-		return
+	conn.SetReadDeadline(time.Now().Add(HandshakeTimeout))
+	flags, id, err := ReadHello(conn)
+	var sess *Session
+	if err == nil {
+		sess, err = srv.mgr.Get(id)
 	}
-	sess, err := srv.mgr.Get(id)
-	if err != nil {
-		writeReject(conn, err)
-		return
+	if err == nil && flags&(StreamFlagInject|StreamFlagSubscribe) == 0 {
+		err = fmt.Errorf("server: handshake requests neither inject nor subscribe")
 	}
-	if flags&(StreamFlagInject|StreamFlagSubscribe) == 0 {
-		writeReject(conn, fmt.Errorf("server: handshake requests neither inject nor subscribe"))
+	if err != nil {
+		WriteReply(conn, err)
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -79,7 +35,7 @@ func (srv *Server) serveStreamConn(conn net.Conn) {
 		sub = sess.sink.subscribe()
 		defer sess.sink.unsubscribe(sub)
 	}
-	if _, err := conn.Write([]byte(streamOK)); err != nil {
+	if WriteReply(conn, nil) != nil {
 		return
 	}
 
@@ -118,7 +74,7 @@ func (srv *Server) serveStreamConn(conn net.Conn) {
 		if cw, ok := conn.(interface{ CloseWrite() error }); ok {
 			cw.CloseWrite()
 		}
-		conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+		conn.SetReadDeadline(time.Now().Add(HandshakeTimeout))
 		<-readerDone
 		return
 	case <-readerDone:
@@ -134,99 +90,20 @@ func (srv *Server) serveStreamConn(conn net.Conn) {
 	}
 }
 
-// ReadStreamHandshake parses a client hello from a stream-plane
-// connection. It is exported for the cluster coordinator's stream
-// proxy, which terminates the same protocol and forwards frames to the
-// session's current owner node.
-func ReadStreamHandshake(r io.Reader) (flags byte, id string, err error) {
-	return readHandshake(r)
-}
-
-// WriteStreamOK acknowledges a stream handshake.
-func WriteStreamOK(w io.Writer) error {
-	_, err := w.Write([]byte(streamOK))
-	return err
-}
-
-// WriteStreamReject sends a CERR reply; the caller closes the
-// connection after.
-func WriteStreamReject(w io.Writer, err error) {
-	writeReject(w, err)
-}
-
-// readHandshake parses the client hello.
-func readHandshake(r io.Reader) (flags byte, id string, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, "", fmt.Errorf("server: handshake read: %w", err)
-	}
-	if string(hdr[:4]) != streamMagic {
-		return 0, "", fmt.Errorf("server: bad handshake magic %q", hdr[:4])
-	}
-	if hdr[4] != streamVersion {
-		return 0, "", fmt.Errorf("server: unsupported stream version %d", hdr[4])
-	}
-	flags = hdr[5]
-	idLen := binary.LittleEndian.Uint16(hdr[6:])
-	if idLen == 0 || idLen > 256 {
-		return 0, "", fmt.Errorf("server: session id length %d out of range", idLen)
-	}
-	idBuf := make([]byte, idLen)
-	if _, err := io.ReadFull(r, idBuf); err != nil {
-		return 0, "", fmt.Errorf("server: handshake id read: %w", err)
-	}
-	return flags, string(idBuf), nil
-}
-
-// writeReject sends a CERR reply; the connection closes after.
-func writeReject(w io.Writer, err error) {
-	msg := err.Error()
-	if len(msg) > 1<<15 {
-		msg = msg[:1<<15]
-	}
-	buf := make([]byte, 4+2+len(msg))
-	copy(buf, streamErrTag)
-	binary.LittleEndian.PutUint16(buf[4:], uint16(len(msg)))
-	copy(buf[6:], msg)
-	w.Write(buf)
-}
-
 // readIngest consumes frames until EOF or error, reporting whether the
 // peer violated the protocol (an oversized frame, or a non-empty frame
 // from a subscribe-only peer — violations forfeit the egress stream,
 // while a clean half-close keeps it flowing).
 func readIngest(r io.Reader, sess *Session, inject bool) (violation bool) {
-	var lenBuf [4]byte
-	recBuf := make([]byte, egressBatch*spikeio.RecordSize)
+	fr := NewFrameReader(r, inject)
 	events := make([]spikeio.Event, 0, egressBatch)
 	for {
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return false // EOF: peer finished (or broke) the stream
+		var err error
+		if events, err = fr.Next(events[:0]); err != nil {
+			var tooBig *FrameSizeError
+			return errors.As(err, &tooBig)
 		}
-		count := binary.LittleEndian.Uint32(lenBuf[:])
-		if count == 0 {
-			continue // keepalive
-		}
-		if count > maxFrameRecords || !inject {
-			return true
-		}
-		remaining := int(count)
-		for remaining > 0 {
-			n := remaining
-			if n > egressBatch {
-				n = egressBatch
-			}
-			chunk := recBuf[:n*spikeio.RecordSize]
-			if _, err := io.ReadFull(r, chunk); err != nil {
-				return false
-			}
-			events = events[:0]
-			for i := 0; i < n; i++ {
-				events = append(events, spikeio.DecodeRecord(chunk[i*spikeio.RecordSize:]))
-			}
-			sess.source.Inject(events)
-			remaining -= n
-		}
+		sess.source.Inject(events)
 	}
 }
 
@@ -234,18 +111,11 @@ func readIngest(r io.Reader, sess *Session, inject bool) (violation bool) {
 // connection dropped, the client unsubscribed, or the session ended)
 // or the connection breaks.
 func writeEgress(w io.Writer, sub *subscriber) {
+	fw := NewFrameWriter(w)
 	batch := make([]spikeio.Event, 0, egressBatch)
-	buf := make([]byte, 4+egressBatch*spikeio.RecordSize)
 	for {
 		out := sub.next(batch)
-		if out == nil {
-			return
-		}
-		binary.LittleEndian.PutUint32(buf, uint32(len(out)))
-		for i, ev := range out {
-			spikeio.EncodeRecord(buf[4+i*spikeio.RecordSize:], ev)
-		}
-		if _, err := w.Write(buf[:4+len(out)*spikeio.RecordSize]); err != nil {
+		if out == nil || fw.Write(out) != nil {
 			return
 		}
 	}

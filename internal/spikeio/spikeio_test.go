@@ -335,3 +335,18 @@ func TestEncodeDecodeRecord(t *testing.T) {
 		t.Fatalf("roundtrip = %+v, want %+v", got, want)
 	}
 }
+
+// FuzzRead holds the spike-stream decoder to the network decoders'
+// property: an error or events, never a panic, and a clean result only
+// for a header followed by whole records.
+func FuzzRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		events, err := ReadAll(bytes.NewReader(body))
+		if len(events) > len(body)/RecordSize {
+			t.Fatalf("read %d records from %d bytes", len(events), len(body))
+		}
+		if err == nil && (len(body) < headerSize || (len(body)-headerSize)%RecordSize != 0) {
+			t.Fatalf("accepted a %d-byte stream that is not a header plus whole records", len(body))
+		}
+	})
+}
